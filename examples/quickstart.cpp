@@ -91,6 +91,7 @@ int main(int argc, char** argv) {
       case rcm::check::Verdict::kHolds: return "holds";
       case rcm::check::Verdict::kViolated: return "VIOLATED";
       case rcm::check::Verdict::kUnknown: return "undecided";
+      case rcm::check::Verdict::kNotChecked: return "not checked";
     }
     return "?";
   };

@@ -187,6 +187,7 @@ int run_lab(const util::Config& config) {
       case check::Verdict::kHolds: return "holds";
       case check::Verdict::kViolated: return "VIOLATED";
       case check::Verdict::kUnknown: return "undecided";
+      case check::Verdict::kNotChecked: return "not checked";
     }
     return "?";
   };

@@ -38,8 +38,11 @@ struct SystemRun {
   std::vector<Alert> displayed;                ///< A
 };
 
-/// Tri-state verdict; kUnknown only occurs for bounded searches.
-enum class Verdict { kHolds, kViolated, kUnknown };
+/// Verdict on one property. kUnknown only occurs for bounded searches
+/// that ran out of budget. kNotChecked marks a property the caller chose
+/// not to decide (the swarm runner skips the completeness search in cells
+/// that claim no completeness); check_run never returns it.
+enum class Verdict { kHolds, kViolated, kUnknown, kNotChecked };
 
 /// All three properties of one run.
 struct PropertyReport {

@@ -43,6 +43,7 @@ std::string verdict_text(Verdict v) {
     case Verdict::kHolds: return "holds";
     case Verdict::kViolated: return "VIOLATED";
     case Verdict::kUnknown: return "undecided (search budget exhausted)";
+    case Verdict::kNotChecked: return "not checked";
   }
   return "?";
 }

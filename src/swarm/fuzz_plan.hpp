@@ -62,18 +62,27 @@ struct RunPlan {
 void send_ignoring_errors(net::UdpSocket& socket, std::uint16_t port,
                           std::span<const std::uint8_t> bytes);
 
+/// What the crash/upgrade-fuzz oracle found in one run.
+struct ServiceRunCheck {
+  std::vector<std::string> violations;  ///< one description each; empty = clean
+  /// A property the cell claims came back undecided (kUnknown): neither
+  /// a pass nor a violation.
+  bool undecided_claimed = false;
+};
+
 /// The crash/upgrade-fuzz oracle: journal invariants, displayed ⊆
 /// raised, provenance consistency, then the paper table for the cell
-/// classified from the observed journals. Returns one description per
-/// violation; empty = clean.
+/// classified from the observed journals. Like the swarm runner, it
+/// decides only the properties the cell claims, and runs the bounded
+/// completeness search only where completeness is claimed.
 ///
 /// `displayer_epochs` partitions `displayed` (in order) into displayer
 /// incarnations — prefix lengths, summing to displayed.size(). The
 /// AD ledger is volatile, so the cross-alert guarantees it provides
 /// (orderedness, consistency) are per-incarnation claims and are
 /// checked per epoch; completeness and every mechanical invariant are
-/// ledger-free and always checked over the union. Empty = one epoch.
-[[nodiscard]] std::vector<std::string> check_service_run(
+/// ledger-free and checked over the union. Empty = one epoch.
+[[nodiscard]] ServiceRunCheck check_service_run(
     const RunPlan& plan, const std::vector<Update>& sent,
     std::vector<std::vector<Update>> journals, std::vector<Alert> displayed,
     const std::vector<AlertProvenance>& provenance, std::size_t kills,

@@ -123,6 +123,7 @@ int main(int argc, char** argv) {
                   report.runs_executed, report.runs_with_kills,
                   report.runs_with_alerts, report.total_kills,
                   report.total_restarts, report.violations.size());
+      std::printf("  undecided (claimed): %zu\n", report.undecided_claimed);
       std::printf("  sessions: %zu run(s) with subscribers, %zu welcomed "
                   "conn(s), %zu subscriber kill(s), %zu truncation(s), "
                   "%zu eviction(s), %zu bad cursor(s), %zu lag alert(s), "
@@ -163,6 +164,7 @@ int main(int argc, char** argv) {
                   report.total_restarts, report.transcoded_files,
                   report.torn_tails_injected, report.stale_wal_records,
                   report.duplicate_resends, report.violations.size());
+      std::printf("  undecided (claimed): %zu\n", report.undecided_claimed);
       for (const swarm::UpgradeFuzzViolation& v : report.violations)
         std::printf("  run %zu (seed %llu): %s\n    state kept: %s\n",
                     v.run_index,
@@ -210,6 +212,7 @@ int main(int argc, char** argv) {
                 report.failures,
                 report.time_budget_exhausted ? ", time budget exhausted"
                                              : "");
+    std::printf("  undecided (claimed): %zu\n", report.undecided_claimed);
     for (const auto& [cell, n] : report.cell_runs)
       std::printf("  %-30s %zu runs\n", cell.c_str(), n);
 

@@ -1,17 +1,21 @@
 // Swarm run executor: runs one SwarmSpec on the deterministic simulator
-// (plain or disconnectable, depending on the spec) and checks everything
-// the harness knows how to falsify:
+// (plain or disconnectable, depending on the spec) and checks it against:
 //
 //   - the paper's property guarantees for the spec's (filter, scenario)
-//     cell — orderedness / completeness / consistency verdicts from the
-//     exact checkers, compared against exp::paper_claim;
+//     cell (exp::paper_claim). Orderedness and consistency are decided on
+//     every run: both checkers are exact and cost microseconds. The
+//     bounded completeness search runs only where the cell claims
+//     completeness; elsewhere its verdict is kNotChecked, since no answer
+//     could fail the run. A violation of a property the cell does not
+//     claim is expected behaviour, not a finding;
 //   - cross-replica invariants that hold for EVERY cell: each displayed
 //     alert was raised by some replica, display timestamps are monotone
 //     non-decreasing, and the run is a pure function of the spec
 //     (re-execution produces a bit-for-bit identical run).
 //
-// A completeness verdict of kUnknown (bounded interleaving search
-// exhausted) is never a violation.
+// A claimed property that comes back kUnknown (search budget exhausted)
+// is a third outcome: never a violation, never a pass, but counted
+// (RunCheck::undecided_claimed).
 #pragma once
 
 #include <cstdint>
@@ -59,10 +63,20 @@ struct RunCheck {
   std::size_t displayed = 0;
   std::size_t raised = 0;  ///< alerts raised across all replicas
   bool had_alerts = false;
+  /// A property the cell claims came back kUnknown: not a violation, but
+  /// not a pass either.
+  bool undecided_claimed = false;
 
   [[nodiscard]] bool failed() const noexcept { return !violations.empty(); }
   [[nodiscard]] bool has_kind(ViolationKind k) const;
 };
+
+/// The claim-driven property check of one run: orderedness and
+/// consistency always, the completeness search only when `claim.complete`
+/// (otherwise report.complete is kNotChecked).
+[[nodiscard]] check::PropertyReport check_claimed(
+    const check::SystemRun& run, const exp::PaperClaim& claim,
+    std::size_t interleaving_budget);
 
 /// Runs the spec once (twice with check_determinism) and checks it.
 /// Propagates std::invalid_argument from malformed specs — the shrinker

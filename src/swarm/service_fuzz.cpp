@@ -364,7 +364,7 @@ struct MapRouter {
 /// of every journal the cluster ever wrote (partial shards journal only
 /// their owned variables, so multi-shard runs classify as the condition's
 /// lossy row — exactly the paper cell a sharded front presents).
-std::vector<std::string> run_sharded_iteration(
+ServiceRunCheck run_sharded_iteration(
     const RunPlan& plan, util::Rng& rng,
     const std::filesystem::path& data_dir, ShardedRunStats& stats,
     std::size_t& displayed_count) {
@@ -504,9 +504,11 @@ ServiceFuzzReport run_service_fuzz(const ServiceFuzzOptions& options) {
     if (rng.bernoulli(options.sharded_fraction)) {
       ShardedRunStats stats;
       std::size_t displayed_count = 0;
-      const std::vector<std::string> violations =
+      const ServiceRunCheck oracle =
           run_sharded_iteration(plan, rng, data_dir, stats, displayed_count);
+      const std::vector<std::string>& violations = oracle.violations;
       ++report.runs_executed;
+      if (oracle.undecided_claimed) ++report.undecided_claimed;
       ++report.sharded_runs;
       if (stats.cross_shard) ++report.cross_shard_runs;
       report.shard_reshards += stats.reshards;
@@ -696,9 +698,11 @@ ServiceFuzzReport run_service_fuzz(const ServiceFuzzOptions& options) {
     report.health_scrapes += health_scrapes;
     report.health_degraded_seen += health_degraded;
 
-    std::vector<std::string> violations = check_service_run(
+    ServiceRunCheck oracle = check_service_run(
         plan, plan.feed, std::move(journals), displayed, provenance,
         kills_done);
+    if (oracle.undecided_claimed) ++report.undecided_claimed;
+    std::vector<std::string> violations = std::move(oracle.violations);
     check_sessions(sub_logs, displayed, violations);
     violations.insert(violations.end(), health_violations.begin(),
                       health_violations.end());

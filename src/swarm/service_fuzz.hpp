@@ -79,6 +79,9 @@ struct ServiceFuzzReport {
   std::size_t runs_with_alerts = 0;
   std::size_t total_kills = 0;
   std::size_t total_restarts = 0;
+  /// Runs where a claimed property came back undecided (kUnknown): a
+  /// third outcome, neither pass nor violation.
+  std::size_t undecided_claimed = 0;
   // Durable-session fault coverage (see header comment).
   std::size_t runs_with_subscribers = 0;
   std::size_t subscriber_conns = 0;      ///< welcomed session connections

@@ -48,6 +48,10 @@ bool aggregate_run(const SwarmOptions& options, std::uint64_t index,
     ++report.cell_runs[cell];
   }
 
+  if (chk.undecided_claimed) {
+    RCM_COUNT("swarm.check.undecided");
+    ++report.undecided_claimed;
+  }
   if (chk.failed()) {
     RCM_COUNT("swarm.violations");
     ++report.failures;

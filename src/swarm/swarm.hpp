@@ -65,6 +65,9 @@ struct SwarmReport {
   std::size_t runs_executed = 0;
   std::size_t runs_with_alerts = 0;  ///< non-vacuous runs
   std::size_t failures = 0;
+  /// Runs where a claimed property came back undecided (kUnknown): a
+  /// third outcome, neither pass nor violation.
+  std::size_t undecided_claimed = 0;
   bool time_budget_exhausted = false;
 
   /// Coverage: runs per (filter, scenario) cell, keyed by display name.

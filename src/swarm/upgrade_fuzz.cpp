@@ -342,10 +342,12 @@ UpgradeFuzzReport run_upgrade_fuzz(const UpgradeFuzzOptions& options) {
     // displayer incarnations — ledger-backed guarantees are per epoch.
     std::vector<std::size_t> epochs{phase_a_displayed,
                                     displayed.size() - phase_a_displayed};
-    const std::vector<std::string> oracle = check_service_run(
+    const ServiceRunCheck oracle = check_service_run(
         plan, plan.feed, std::move(journals), std::move(displayed),
         provenance, kills_done, std::move(epochs));
-    violations.insert(violations.end(), oracle.begin(), oracle.end());
+    if (oracle.undecided_claimed) ++report.undecided_claimed;
+    violations.insert(violations.end(), oracle.violations.begin(),
+                      oracle.violations.end());
     if (options.verbose) {
       std::printf("upgrade-fuzz run %zu: %zu+%zu updates, %zu kill(s), "
                   "%zu restart(s)%s\n",

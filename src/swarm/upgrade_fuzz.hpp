@@ -68,6 +68,8 @@ struct UpgradeFuzzReport {
   std::size_t runs_with_alerts = 0;
   std::size_t total_kills = 0;
   std::size_t total_restarts = 0;
+  /// Runs where a claimed property came back undecided (kUnknown).
+  std::size_t undecided_claimed = 0;
   std::size_t transcoded_files = 0;    ///< durable files rewritten as v1
   std::size_t torn_tails_injected = 0; ///< v1 WALs left with a torn frame
   std::size_t stale_wal_records = 0;   ///< already-checkpointed records

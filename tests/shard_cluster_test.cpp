@@ -84,10 +84,10 @@ void deliver_ends(net::UdpSocket& udp, ShardedCluster& cluster,
 void expect_clean_oracle(const swarm::RunPlan& plan,
                          const std::vector<Update>& sent,
                          ShardedCluster& cluster, std::size_t kills = 0) {
-  const std::vector<std::string> violations = swarm::check_service_run(
+  const swarm::ServiceRunCheck oracle = swarm::check_service_run(
       plan, sent, cluster.journals(), cluster.displayed(),
       cluster.provenance(), kills, cluster.displayer_epochs());
-  for (const std::string& v : violations) ADD_FAILURE() << v;
+  for (const std::string& v : oracle.violations) ADD_FAILURE() << v;
 }
 
 // The acceptance-criterion scenario: a degree-2 condition spanning

@@ -2,12 +2,17 @@
 // cells must be clean, the fuzzer must be a pure function of (seed,
 // index), and a deliberately broken filter (kBrokenAd2, which drops the
 // AD-2 holdback) must be caught, shrunk to a handful of updates, and
-// packaged into a record that replays bit-for-bit.
+// packaged into a record that replays bit-for-bit. The claim-driven check
+// must agree with the full check on every claimed property, and a claimed
+// property it cannot decide must be counted, not passed or failed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <memory>
 
+#include "core/builtin_conditions.hpp"
+#include "core/evaluator.hpp"
 #include "swarm/swarm.hpp"
 
 namespace rcm::swarm {
@@ -122,6 +127,75 @@ TEST(Swarm, CleanFiltersPassWhereBrokenOneFails) {
   const RunCheck chk = execute_and_check(fixed);
   EXPECT_FALSE(chk.failed())
       << (chk.violations.empty() ? std::string{} : chk.violations[0]);
+}
+
+TEST(Swarm, ClaimDrivenCheckAgreesWithFullCheckOnClaimedProperties) {
+  std::size_t claimed_complete = 0, not_checked = 0;
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    const ComposedSpec spec = sample_composed(1, i, {});
+    const RunCheck chk = execute_and_check(spec);
+    const MaterializedRun mat = materialize(spec);
+    const check::SystemRun run = execute(spec).result.as_system_run(
+        build_condition(mat.spec.cond_kind, mat.spec.cond_param));
+    const check::PropertyReport full = check::check_run(run);
+    const exp::PaperClaim claim = guaranteed_properties(spec);
+
+    // Orderedness and consistency are decided on every run.
+    EXPECT_EQ(chk.report.ordered, full.ordered) << "run " << i;
+    EXPECT_EQ(chk.report.consistent, full.consistent) << "run " << i;
+    if (claim.complete) {
+      ++claimed_complete;
+      EXPECT_EQ(chk.report.complete, full.complete) << "run " << i;
+    } else {
+      ++not_checked;
+      EXPECT_EQ(chk.report.complete, check::Verdict::kNotChecked)
+          << "run " << i;
+    }
+    EXPECT_FALSE(chk.undecided_claimed) << "run " << i;
+  }
+  // Both branches are exercised by the batch.
+  EXPECT_GT(claimed_complete, 20u);
+  EXPECT_GT(not_checked, 20u);
+}
+
+TEST(Swarm, ZeroSearchBudgetLeavesClaimsUndecidedNotFailed) {
+  // Multi-variable completeness is the one bounded search. With no budget
+  // it decides nothing: a claimed completeness comes back kUnknown, never
+  // kViolated.
+  const auto cond = std::make_shared<const AbsDiffCondition>("d", 0, 1, 30.0);
+  const std::vector<Update> stream{
+      {0, 1, 10.0}, {1, 1, 50.0}, {0, 2, 60.0}, {1, 2, 20.0}};
+  check::SystemRun run;
+  run.condition = cond;
+  run.ce_inputs = {stream, stream};
+  run.displayed = evaluate_trace(cond, stream);
+  ASSERT_FALSE(run.displayed.empty());
+
+  const check::PropertyReport report =
+      check_claimed(run, {true, true, true}, 0);
+  EXPECT_EQ(report.ordered, check::Verdict::kHolds);
+  EXPECT_EQ(report.complete, check::Verdict::kUnknown);
+  EXPECT_EQ(report.consistent, check::Verdict::kHolds);
+  EXPECT_EQ(check_claimed(run, {true, false, true}, 0).complete,
+            check::Verdict::kNotChecked);
+
+  // The paper claims completeness in no multi-variable cell, and the
+  // single-variable check is exact, so a batch without any search budget
+  // neither fails a run nor leaves a claimed property undecided.
+  SwarmOptions options;
+  options.seed = 1;
+  options.runs = 200;
+  options.do_shrink = false;
+  options.check.interleaving_budget = 0;
+  const SwarmReport batch = run_swarm(
+      options, [](std::uint64_t index, const RunCheck& chk) {
+        EXPECT_FALSE(chk.failed()) << "run " << index;
+        EXPECT_FALSE(chk.undecided_claimed) << "run " << index;
+        return true;
+      });
+  EXPECT_EQ(batch.runs_executed, 200u);
+  EXPECT_EQ(batch.failures, 0u);
+  EXPECT_EQ(batch.undecided_claimed, 0u);
 }
 
 }  // namespace
